@@ -35,21 +35,14 @@
 //! automaton and caps them by the duty-cycle upper bound.
 
 use crate::errors::ScheduleBuildError;
+use crate::greedy::mode_of;
 use crate::hetero::{FleetSchedule, GridSchedule};
 use crate::problem::Problem;
-use crate::schedule::{PeriodSchedule, ScheduleMode};
+use crate::schedule::PeriodSchedule;
 use cool_common::{SensorId, SensorSet};
 use cool_energy::{Fleet, FleetGrid};
 use cool_utility::{Evaluator, UtilityFunction};
 use rand::Rng;
-
-fn mode_for<U: UtilityFunction>(problem: &Problem<U>) -> ScheduleMode {
-    if problem.cycle().rho() > 1.0 {
-        ScheduleMode::ActiveSlot
-    } else {
-        ScheduleMode::PassiveSlot
-    }
-}
 
 /// Uniform random slot per sensor.
 ///
@@ -74,21 +67,21 @@ pub fn random_schedule<U: UtilityFunction, R: Rng + ?Sized>(
     let assignment = (0..problem.n_sensors())
         .map(|_| rng.random_range(0..t))
         .collect();
-    PeriodSchedule::new(mode_for(problem), t, assignment)
+    PeriodSchedule::new(mode_of(problem.cycle()), t, assignment)
 }
 
 /// Sensor `i` takes slot `i mod T`.
 pub fn round_robin_schedule<U: UtilityFunction>(problem: &Problem<U>) -> PeriodSchedule {
     let t = problem.slots_per_period();
     let assignment = (0..problem.n_sensors()).map(|i| i % t).collect();
-    PeriodSchedule::new(mode_for(problem), t, assignment)
+    PeriodSchedule::new(mode_of(problem.cycle()), t, assignment)
 }
 
 /// Everyone in slot 0: all sensors active together (ρ > 1) or all passive
 /// together (ρ ≤ 1).
 pub fn static_schedule<U: UtilityFunction>(problem: &Problem<U>) -> PeriodSchedule {
     let t = problem.slots_per_period();
-    PeriodSchedule::new(mode_for(problem), t, vec![0; problem.n_sensors()])
+    PeriodSchedule::new(mode_of(problem.cycle()), t, vec![0; problem.n_sensors()])
 }
 
 /// Queries a marginal gain, surfacing NaN/∞ as the scheduler's typed error.
@@ -263,6 +256,7 @@ pub fn set_once_schedule(grid: &FleetGrid) -> GridSchedule {
 mod tests {
     use super::*;
     use crate::greedy::greedy_schedule;
+    use crate::schedule::ScheduleMode;
     use cool_common::SeedSequence;
     use cool_energy::ChargeCycle;
     use cool_utility::DetectionUtility;

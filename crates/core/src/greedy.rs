@@ -9,20 +9,22 @@
 //! sensor's **passive** slot with the **minimum decremental utility**
 //! (§IV-B, Theorem 4.4) — also ½-approximate.
 //!
-//! Two implementations are provided with identical outputs:
+//! Every entry point here only picks the regime, the candidates and the
+//! warm start; one crate-private engine runs the climb with one of two
+//! drivers that produce identical schedules:
 //!
-//! * [`greedy_schedule`] — the literal O(n²·T)-gain-query loop of
-//!   Algorithm 1 (with incremental evaluators, each query is cheap);
-//! * [`greedy_schedule_lazy`] — a lazy-evaluation (CELF-style) variant
-//!   exploiting submodularity. For `ρ > 1` stale heap entries only ever
-//!   *shrink* (a max-heap of gains); for `ρ ≤ 1` stale entries only ever
-//!   *grow* (a min-heap of losses), because removing sensors shrinks the
-//!   base set and marginal contributions rise under diminishing returns.
-//!   Either way, touching slot `t` only perturbs entries *within slot
-//!   `t`*, which makes lazy evaluation particularly effective here.
+//! * the **lazy driver** (CELF) — the production path behind
+//!   [`greedy_schedule_lazy`], session solves, warm-start repair and
+//!   `cool run`. Stale gains only *shrink* (`ρ > 1`) and stale losses
+//!   only *grow* (`ρ ≤ 1`: removals shrink the base set, and marginal
+//!   contributions rise under diminishing returns); touching slot `t`
+//!   only perturbs entries *within slot `t`*;
+//! * the **naive oracle** — the literal O(n²·T)-gain-query loop of
+//!   Algorithm 1 behind [`greedy_schedule`], which tests, `cool-check`
+//!   and the benches compare the lazy driver against.
 //!
-//! On large instances (`n·T ≥` [`PARALLEL_FANOUT_MIN_CELLS`]) the lazy
-//! variants fan their `O(n·T)` initial gain/loss queries across the
+//! On large instances (`n·T ≥` [`PARALLEL_FANOUT_MIN_CELLS`] initial
+//! queries) the lazy driver fans its initial gain/loss queries across the
 //! worker threads of [`cool_common::parallel`]; results are written back
 //! by sensor index, so the heap contents — and therefore the schedule —
 //! are identical to a sequential run.
@@ -37,57 +39,30 @@
 //!
 //! # Tie-breaking
 //!
-//! Every implementation in this module shares one total order, pinned by
-//! the `tie_break_*` regression tests and the naive≡lazy property tests:
-//! **the larger gain (or smaller loss) wins; exact ties go to the lower
-//! sensor index, then the lower slot index.** DESIGN.md and the README
-//! defer to this paragraph — it is the single normative statement of the
-//! order.
+//! Both drivers share one total order, pinned by the `tie_break_*`
+//! regression tests and the naive≡lazy property tests: **the larger gain
+//! (or smaller loss) wins; exact ties go to the lower sensor index, then
+//! the lower slot index.** DESIGN.md and the README defer to this
+//! paragraph — it is the single normative statement of the order.
 
+use crate::engine::{self, Driver, Insert, Lazy, Naive, Remove, Slots};
 use crate::errors::ScheduleBuildError;
 use crate::problem::Problem;
 use crate::schedule::{PeriodSchedule, ScheduleMode};
-use cool_common::parallel::{default_sweep_threads, parallel_map};
+use cool_common::parallel::parallel_map;
 use cool_common::SensorId;
+use cool_energy::ChargeCycle;
 use cool_utility::{Evaluator, UtilityFunction};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Cell count `n·T` above which the lazy variants parallelise their
-/// initial gain/loss fan-out. Below it, thread start-up costs more than
-/// the queries themselves.
+/// Initial query count `n·T` above which the lazy driver parallelises
+/// its initial gain/loss fan-out. Below it, thread start-up costs more
+/// than the queries themselves.
 pub const PARALLEL_FANOUT_MIN_CELLS: usize = 4096;
 
-/// Worker threads the auto-tuned lazy entry points use for the initial
-/// fan-out: sequential under the cell threshold, the sweep default above.
-fn fanout_threads(n: usize, slots: usize) -> usize {
-    if n.saturating_mul(slots) >= PARALLEL_FANOUT_MIN_CELLS {
-        default_sweep_threads()
-    } else {
-        1
-    }
-}
-
-/// Computes the initial query matrix `rows[v][t] = query(&evaluators[t],
-/// v)` for a lazy variant, fanned across `threads` workers. Rows come back
-/// indexed by sensor, so downstream heap construction is order-identical
-/// to a sequential pass.
-fn initial_rows<E, F>(evaluators: &[E], n: usize, threads: usize, query: F) -> Vec<Vec<f64>>
-where
-    E: Evaluator + Sync,
-    F: Fn(&E, SensorId) -> f64 + Sync,
-{
-    parallel_map(threads, (0..n).collect(), |v| {
-        evaluators
-            .iter()
-            .map(|eval| query(eval, SensorId(v)))
-            .collect()
-    })
-}
-
-/// Runs Algorithm 1 (or its `ρ ≤ 1` dual) and returns the per-period
-/// schedule. Deterministic: ties break toward the lower sensor index,
-/// then the lower slot (see the module-level *Tie-breaking* section).
+/// Runs Algorithm 1 (or its `ρ ≤ 1` dual) with the naive oracle and
+/// returns the per-period schedule. Deterministic: ties break toward the
+/// lower sensor index, then the lower slot (see the module-level
+/// *Tie-breaking* section).
 ///
 /// # Panics
 ///
@@ -120,16 +95,16 @@ pub fn greedy_schedule<U: UtilityFunction>(problem: &Problem<U>) -> PeriodSchedu
 pub fn try_greedy_schedule<U: UtilityFunction>(
     problem: &Problem<U>,
 ) -> Result<PeriodSchedule, ScheduleBuildError> {
-    if problem.cycle().rho() > 1.0 {
-        greedy_active_naive(problem.utility(), problem.slots_per_period())
-    } else {
-        greedy_passive_naive(problem.utility(), problem.slots_per_period())
-    }
+    naive_slots(
+        problem.utility(),
+        problem.slots_per_period(),
+        mode_of(problem.cycle()),
+    )
 }
 
-/// Lazy (CELF-style) greedy; identical output to [`greedy_schedule`]
-/// (asserted by the crate's property tests), asymptotically faster on large
-/// instances.
+/// Lazy (CELF-style) greedy, the production path; identical output to
+/// [`greedy_schedule`] (asserted by the crate's property tests),
+/// asymptotically faster on large instances.
 ///
 /// # Panics
 ///
@@ -155,15 +130,27 @@ where
     U: UtilityFunction + Sync,
     U::Evaluator: Send + Sync,
 {
-    if problem.cycle().rho() > 1.0 {
-        greedy_active_lazy(problem.utility(), problem.slots_per_period())
+    cold_lazy_slots(
+        problem.utility(),
+        problem.slots_per_period(),
+        mode_of(problem.cycle()),
+        None,
+    )
+}
+
+/// The regime of the paper's dispatcher: active slots when `ρ > 1`,
+/// passive slots otherwise.
+pub(crate) fn mode_of(cycle: ChargeCycle) -> ScheduleMode {
+    if cycle.rho() > 1.0 {
+        ScheduleMode::ActiveSlot
     } else {
-        greedy_passive_lazy(problem.utility(), problem.slots_per_period())
+        ScheduleMode::PassiveSlot
     }
 }
 
-/// ρ > 1 greedy on raw parts (exposed for schedulers composing their own
-/// horizon logic). `slots` is the period length `T`.
+/// ρ > 1 greedy on raw parts with the naive oracle (exposed for
+/// schedulers composing their own horizon logic). `slots` is the period
+/// length `T`.
 ///
 /// # Errors
 ///
@@ -174,54 +161,11 @@ pub fn greedy_active_naive<U: UtilityFunction>(
     utility: &U,
     slots: usize,
 ) -> Result<PeriodSchedule, ScheduleBuildError> {
-    if slots == 0 {
-        return Err(ScheduleBuildError::EmptySlotCount);
-    }
-    let n = utility.universe();
-    let mut evaluators: Vec<U::Evaluator> = (0..slots).map(|_| utility.evaluator()).collect();
-    let mut assignment = vec![usize::MAX; n];
-    let mut unassigned: Vec<usize> = (0..n).collect();
-
-    for _step in 0..n {
-        let mut best: Option<(f64, usize, usize)> = None; // (gain, sensor, slot)
-        for &v in &unassigned {
-            for (t, eval) in evaluators.iter().enumerate() {
-                let gain = eval.gain(SensorId(v));
-                if !gain.is_finite() {
-                    return Err(ScheduleBuildError::NonFiniteGain {
-                        sensor: v,
-                        slot: t,
-                        value: gain,
-                    });
-                }
-                let candidate = (gain, v, t);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => max_by_gain(current, candidate),
-                });
-            }
-        }
-        let Some((gain, v, t)) = best else {
-            break; // n == 0: nothing to assign
-        };
-        // Monotonicity invariant: marginal gains of a monotone utility are
-        // never negative (beyond roundoff).
-        cool_common::invariant!(
-            gain >= -1e-9,
-            "negative marginal gain {gain} for sensor {v} in slot {t}"
-        );
-        evaluators[t].insert(SensorId(v));
-        assignment[v] = t;
-        unassigned.retain(|&u| u != v);
-    }
-    Ok(PeriodSchedule::new(
-        ScheduleMode::ActiveSlot,
-        slots,
-        assignment,
-    ))
+    naive_slots(utility, slots, ScheduleMode::ActiveSlot)
 }
 
-/// ρ ≤ 1 greedy: allocate passive slots by minimum decremental utility.
+/// ρ ≤ 1 greedy with the naive oracle: allocate passive slots by minimum
+/// decremental utility.
 ///
 /// # Errors
 ///
@@ -230,66 +174,12 @@ pub fn greedy_passive_naive<U: UtilityFunction>(
     utility: &U,
     slots: usize,
 ) -> Result<PeriodSchedule, ScheduleBuildError> {
-    if slots == 0 {
-        return Err(ScheduleBuildError::EmptySlotCount);
-    }
-    let n = utility.universe();
-    // Start with everyone active in every slot.
-    let mut evaluators: Vec<U::Evaluator> = (0..slots)
-        .map(|_| {
-            let mut e = utility.evaluator();
-            for v in 0..n {
-                e.insert(SensorId(v));
-            }
-            e
-        })
-        .collect();
-    let mut assignment = vec![usize::MAX; n];
-    let mut unassigned: Vec<usize> = (0..n).collect();
-
-    for _step in 0..n {
-        let mut best: Option<(f64, usize, usize)> = None; // (loss, sensor, slot)
-        for &v in &unassigned {
-            for (t, eval) in evaluators.iter().enumerate() {
-                let loss = eval.loss(SensorId(v));
-                if !loss.is_finite() {
-                    return Err(ScheduleBuildError::NonFiniteGain {
-                        sensor: v,
-                        slot: t,
-                        value: loss,
-                    });
-                }
-                let candidate = (loss, v, t);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => min_by_loss(current, candidate),
-                });
-            }
-        }
-        let Some((loss, v, t)) = best else {
-            break; // n == 0: nothing to assign
-        };
-        cool_common::invariant!(
-            loss >= -1e-9,
-            "negative marginal loss {loss} for sensor {v} in slot {t}"
-        );
-        evaluators[t].remove(SensorId(v));
-        assignment[v] = t;
-        unassigned.retain(|&u| u != v);
-    }
-    Ok(PeriodSchedule::new(
-        ScheduleMode::PassiveSlot,
-        slots,
-        assignment,
-    ))
+    naive_slots(utility, slots, ScheduleMode::PassiveSlot)
 }
 
-/// Lazy-evaluation ρ > 1 greedy (CELF).
-///
-/// Key structural fact: inserting a sensor into slot `t` leaves the
-/// evaluators of all other slots untouched, so a heap entry `(v, t', g)`
-/// with `t' ≠ t` stays exact. We stamp entries with the per-slot version
-/// and re-evaluate only entries whose slot has advanced.
+/// ρ > 1 greedy with the lazy driver: inserting into slot `t` leaves
+/// every other slot's entries exact, so only entries of advanced slots
+/// are re-evaluated.
 ///
 /// # Errors
 ///
@@ -302,8 +192,7 @@ where
     U: UtilityFunction + Sync,
     U::Evaluator: Send + Sync,
 {
-    let threads = fanout_threads(utility.universe(), slots);
-    greedy_active_lazy_with_threads(utility, slots, threads)
+    cold_lazy_slots(utility, slots, ScheduleMode::ActiveSlot, None)
 }
 
 /// [`greedy_active_lazy`] with an explicit worker-thread count for the
@@ -322,96 +211,11 @@ where
     U: UtilityFunction + Sync,
     U::Evaluator: Send + Sync,
 {
-    if slots == 0 {
-        return Err(ScheduleBuildError::EmptySlotCount);
-    }
-    let n = utility.universe();
-    let mut evaluators: Vec<U::Evaluator> = (0..slots).map(|_| utility.evaluator()).collect();
-    let mut slot_version = vec![0u32; slots];
-    let mut assigned = vec![false; n];
-    let mut assignment = vec![usize::MAX; n];
-
-    let rows = initial_rows(&evaluators, n, threads, Evaluator::gain);
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(n * slots);
-    for (v, row) in rows.iter().enumerate() {
-        for (t, &gain) in row.iter().enumerate() {
-            if !gain.is_finite() {
-                return Err(ScheduleBuildError::NonFiniteGain {
-                    sensor: v,
-                    slot: t,
-                    value: gain,
-                });
-            }
-            heap.push(HeapEntry {
-                gain,
-                slot: t,
-                sensor: v,
-                version: 0,
-            });
-        }
-    }
-
-    let mut remaining = n;
-    while remaining > 0 {
-        let Some(entry) = heap.pop() else {
-            // Unreachable: the heap always holds an entry per unassigned
-            // (sensor, slot) pair. Guard anyway rather than panic.
-            return Err(ScheduleBuildError::EmptySlotCount);
-        };
-        if assigned[entry.sensor] {
-            continue;
-        }
-        if entry.version != slot_version[entry.slot] {
-            // Stale: the slot advanced since this gain was computed.
-            // Submodularity ⇒ the true gain is no larger; recompute, re-push.
-            let gain = evaluators[entry.slot].gain(SensorId(entry.sensor));
-            if !gain.is_finite() {
-                return Err(ScheduleBuildError::NonFiniteGain {
-                    sensor: entry.sensor,
-                    slot: entry.slot,
-                    value: gain,
-                });
-            }
-            // The CELF correctness invariant: stale entries only shrink.
-            cool_common::invariant!(
-                gain <= entry.gain + 1e-9,
-                "stale gain grew from {} to {gain}: utility is not submodular",
-                entry.gain
-            );
-            heap.push(HeapEntry {
-                gain,
-                slot: entry.slot,
-                sensor: entry.sensor,
-                version: slot_version[entry.slot],
-            });
-            continue;
-        }
-        // Fresh maximal entry: assign.
-        evaluators[entry.slot].insert(SensorId(entry.sensor));
-        slot_version[entry.slot] += 1;
-        assigned[entry.sensor] = true;
-        assignment[entry.sensor] = entry.slot;
-        remaining -= 1;
-    }
-    Ok(PeriodSchedule::new(
-        ScheduleMode::ActiveSlot,
-        slots,
-        assignment,
-    ))
+    cold_lazy_slots(utility, slots, ScheduleMode::ActiveSlot, Some(threads))
 }
 
-/// Lazy-evaluation ρ ≤ 1 greedy: the CELF *dual* of
-/// [`greedy_active_lazy`], a min-heap over decremental losses.
-///
-/// Correctness mirrors the active case with the inequality flipped. The
-/// loss of removing `v` from slot `t` equals the marginal gain of `v` on
-/// the base set `S_t ∖ {v}`; every pop removes a sensor, so the base only
-/// *shrinks*, and by submodularity marginal gains on smaller bases are
-/// *larger* — a stale recorded loss is therefore a **lower bound** on the
-/// true loss, and popping a fresh minimum is safe (every other entry's
-/// true loss is at least its recorded one, which is at least the popped
-/// minimum). As in the active case, removing from slot `t` only perturbs
-/// `evaluators[t]`, so per-slot version stamps keep other slots exact.
+/// ρ ≤ 1 greedy with the lazy driver: a stale recorded loss is a lower
+/// bound on the true loss, so popping a fresh minimum is safe.
 ///
 /// # Errors
 ///
@@ -424,8 +228,7 @@ where
     U: UtilityFunction + Sync,
     U::Evaluator: Send + Sync,
 {
-    let threads = fanout_threads(utility.universe(), slots);
-    greedy_passive_lazy_with_threads(utility, slots, threads)
+    cold_lazy_slots(utility, slots, ScheduleMode::PassiveSlot, None)
 }
 
 /// [`greedy_passive_lazy`] with an explicit worker-thread count for the
@@ -444,196 +247,122 @@ where
     U: UtilityFunction + Sync,
     U::Evaluator: Send + Sync,
 {
+    cold_lazy_slots(utility, slots, ScheduleMode::PassiveSlot, Some(threads))
+}
+
+fn cold_lazy_slots<U>(
+    utility: &U,
+    slots: usize,
+    mode: ScheduleMode,
+    threads: Option<usize>,
+) -> Result<PeriodSchedule, ScheduleBuildError>
+where
+    U: UtilityFunction + Sync,
+    U::Evaluator: Send + Sync,
+{
+    let cold = vec![None; utility.universe()];
+    lazy_slots(utility, slots, mode, &cold, threads).map(|(schedule, _)| schedule)
+}
+
+fn naive_slots<U: UtilityFunction>(
+    utility: &U,
+    slots: usize,
+    mode: ScheduleMode,
+) -> Result<PeriodSchedule, ScheduleBuildError> {
+    let cold = vec![None; utility.universe()];
+    let evaluators = (0..slots)
+        .map(|t| slot_evaluator(utility, mode, &cold, t))
+        .collect();
+    climb_slots(&Naive, evaluators, mode, &cold).map(|(schedule, _)| schedule)
+}
+
+/// The lazy slot climb from `warm`: `warm[v] = Some(t)` pins sensor `v`
+/// to slot `t`, `None` makes it a candidate. Returns the schedule and the
+/// gain/loss queries run. `threads` overrides the fan-out worker count,
+/// which by default follows the initial query count.
+pub(crate) fn lazy_slots<U>(
+    utility: &U,
+    slots: usize,
+    mode: ScheduleMode,
+    warm: &[Option<usize>],
+    threads: Option<usize>,
+) -> Result<(PeriodSchedule, u64), ScheduleBuildError>
+where
+    U: UtilityFunction + Sync,
+    U::Evaluator: Send + Sync,
+{
+    let candidates = warm.iter().filter(|slot| slot.is_none()).count();
+    let threads =
+        threads.unwrap_or_else(|| engine::fanout_threads(candidates.saturating_mul(slots)));
+    // A ρ ≤ 1 start fills every slot's evaluator, about as costly as the
+    // initial queries, so those builds run on the fan-out workers too; the
+    // cheap ρ > 1 starts stay on this thread, where they measured faster.
+    let build_threads = match mode {
+        ScheduleMode::ActiveSlot => 1,
+        ScheduleMode::PassiveSlot => threads,
+    };
+    let evaluators = parallel_map(build_threads, (0..slots).collect(), |t| {
+        slot_evaluator(utility, mode, warm, t)
+    });
+    let driver = Lazy {
+        threads: Some(threads),
+    };
+    climb_slots(&driver, evaluators, mode, warm)
+}
+
+/// Slot `t`'s evaluator at the start of a climb. `ρ > 1` starts empty and
+/// `ρ ≤ 1` with every sensor active; a sensor pinned to slot `t` is then
+/// active there (`ρ > 1`) or rests there (`ρ ≤ 1`).
+pub(crate) fn slot_evaluator<U: UtilityFunction>(
+    utility: &U,
+    mode: ScheduleMode,
+    warm: &[Option<usize>],
+    t: usize,
+) -> U::Evaluator {
+    let mut e = utility.evaluator();
+    let pinned = (0..warm.len()).filter(|&v| warm[v] == Some(t));
+    match mode {
+        ScheduleMode::ActiveSlot => {
+            for v in pinned {
+                e.insert(SensorId(v));
+            }
+        }
+        ScheduleMode::PassiveSlot => {
+            for v in 0..warm.len() {
+                e.insert(SensorId(v));
+            }
+            for v in pinned {
+                e.remove(SensorId(v));
+            }
+        }
+    }
+    e
+}
+
+/// Places every candidate of `warm` with `driver` — inserting by gain for
+/// `ρ > 1`, removing by loss for `ρ ≤ 1` — and assembles the schedule.
+fn climb_slots<E: Evaluator>(
+    driver: &impl Driver<E>,
+    mut evaluators: Vec<E>,
+    mode: ScheduleMode,
+    warm: &[Option<usize>],
+) -> Result<(PeriodSchedule, u64), ScheduleBuildError> {
+    let slots = evaluators.len();
     if slots == 0 {
         return Err(ScheduleBuildError::EmptySlotCount);
     }
-    let n = utility.universe();
-    // Start with everyone active in every slot; the T full evaluators are
-    // independent, so build them on the fan-out workers too.
-    let mut evaluators: Vec<U::Evaluator> = parallel_map(threads, (0..slots).collect(), |_t| {
-        let mut e = utility.evaluator();
-        for v in 0..n {
-            e.insert(SensorId(v));
-        }
-        e
-    });
-    let mut slot_version = vec![0u32; slots];
-    let mut assigned = vec![false; n];
-    let mut assignment = vec![usize::MAX; n];
-
-    let rows = initial_rows(&evaluators, n, threads, Evaluator::loss);
-    let mut heap: BinaryHeap<PassiveHeapEntry> = BinaryHeap::with_capacity(n * slots);
-    for (v, row) in rows.iter().enumerate() {
-        for (t, &loss) in row.iter().enumerate() {
-            if !loss.is_finite() {
-                return Err(ScheduleBuildError::NonFiniteGain {
-                    sensor: v,
-                    slot: t,
-                    value: loss,
-                });
-            }
-            heap.push(PassiveHeapEntry {
-                loss,
-                slot: t,
-                sensor: v,
-                version: 0,
-            });
-        }
+    let space = Slots(slots);
+    let candidates: Vec<usize> = (0..warm.len()).filter(|&v| warm[v].is_none()).collect();
+    let climb = match mode {
+        ScheduleMode::ActiveSlot => driver.climb(Insert, &space, &mut evaluators, &candidates)?,
+        ScheduleMode::PassiveSlot => driver.climb(Remove, &space, &mut evaluators, &candidates)?,
+    };
+    // The driver places every candidate or errors, so no `MAX` is left.
+    let mut assignment: Vec<usize> = warm.iter().map(|t| t.unwrap_or(usize::MAX)).collect();
+    for (v, t) in climb.picks {
+        assignment[v] = t;
     }
-
-    let mut remaining = n;
-    while remaining > 0 {
-        let Some(entry) = heap.pop() else {
-            // Unreachable: the heap always holds an entry per unassigned
-            // (sensor, slot) pair. Guard anyway rather than panic.
-            return Err(ScheduleBuildError::EmptySlotCount);
-        };
-        if assigned[entry.sensor] {
-            continue;
-        }
-        if entry.version != slot_version[entry.slot] {
-            // Stale: the slot advanced since this loss was computed.
-            // Submodularity ⇒ the true loss is no smaller; recompute, re-push.
-            let loss = evaluators[entry.slot].loss(SensorId(entry.sensor));
-            if !loss.is_finite() {
-                return Err(ScheduleBuildError::NonFiniteGain {
-                    sensor: entry.sensor,
-                    slot: entry.slot,
-                    value: loss,
-                });
-            }
-            // The dual CELF correctness invariant: stale losses only grow.
-            cool_common::invariant!(
-                loss >= entry.loss - 1e-9,
-                "stale loss shrank from {} to {loss}: utility is not submodular",
-                entry.loss
-            );
-            heap.push(PassiveHeapEntry {
-                loss,
-                slot: entry.slot,
-                sensor: entry.sensor,
-                version: slot_version[entry.slot],
-            });
-            continue;
-        }
-        // Fresh minimal entry: allocate this sensor's passive slot.
-        evaluators[entry.slot].remove(SensorId(entry.sensor));
-        slot_version[entry.slot] += 1;
-        assigned[entry.sensor] = true;
-        assignment[entry.sensor] = entry.slot;
-        remaining -= 1;
-    }
-    Ok(PeriodSchedule::new(
-        ScheduleMode::PassiveSlot,
-        slots,
-        assignment,
-    ))
-}
-
-/// Greedy tie-breaking total order, shared by the naive loop, the lazy
-/// heap and the warm-start repair engine so they produce identical
-/// schedules: larger gain wins; ties go to the lower sensor index, then
-/// the lower slot.
-pub(crate) fn max_by_gain(
-    current: (f64, usize, usize),
-    candidate: (f64, usize, usize),
-) -> (f64, usize, usize) {
-    let better = candidate.0 > current.0
-        || (candidate.0 == current.0 && (candidate.1, candidate.2) < (current.1, current.2));
-    if better {
-        candidate
-    } else {
-        current
-    }
-}
-
-/// Dual order for the passive allocation: smaller loss wins; ties go to the
-/// lower sensor index, then the lower slot.
-pub(crate) fn min_by_loss(
-    current: (f64, usize, usize),
-    candidate: (f64, usize, usize),
-) -> (f64, usize, usize) {
-    let better = candidate.0 < current.0
-        || (candidate.0 == current.0 && (candidate.1, candidate.2) < (current.1, current.2));
-    if better {
-        candidate
-    } else {
-        current
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    gain: f64,
-    slot: usize,
-    sensor: usize,
-    version: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on gain; ties prefer LOWER sensor then LOWER slot —
-        // the same total order as `max_by_gain` (components reversed
-        // because BinaryHeap pops the maximum). Gains are checked finite
-        // before entering the heap, so `partial_cmp` cannot fail; treat
-        // the impossible NaN as equal rather than panic.
-        self.gain
-            .partial_cmp(&other.gain)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.sensor.cmp(&self.sensor))
-            .then_with(|| other.slot.cmp(&self.slot))
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PassiveHeapEntry {
-    loss: f64,
-    slot: usize,
-    sensor: usize,
-    version: u32,
-}
-
-impl PartialEq for PassiveHeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for PassiveHeapEntry {}
-
-impl PartialOrd for PassiveHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PassiveHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap pops the maximum, so reverse the loss comparison to
-        // get a min-heap; ties prefer LOWER sensor then LOWER slot — the
-        // same total order as `min_by_loss`. Losses are checked finite
-        // before entering the heap.
-        other
-            .loss
-            .partial_cmp(&self.loss)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.sensor.cmp(&self.sensor))
-            .then_with(|| other.slot.cmp(&self.slot))
-    }
+    Ok((PeriodSchedule::new(mode, slots, assignment), climb.queries))
 }
 
 #[cfg(test)]
@@ -710,43 +439,6 @@ mod tests {
             );
             assert_eq!(lazy.mode(), ScheduleMode::PassiveSlot);
         }
-    }
-
-    #[test]
-    fn tie_break_prefers_lower_sensor_then_lower_slot() {
-        // The normative order (module doc): ties go to the lower SENSOR
-        // first, then the lower slot. (sensor 0, slot 1) must beat
-        // (sensor 2, slot 0) at equal gain/loss in every comparator.
-        assert_eq!(max_by_gain((1.0, 2, 0), (1.0, 0, 1)), (1.0, 0, 1));
-        assert_eq!(max_by_gain((1.0, 0, 1), (1.0, 2, 0)), (1.0, 0, 1));
-        assert_eq!(max_by_gain((1.0, 0, 1), (1.0, 0, 2)), (1.0, 0, 1));
-        assert_eq!(min_by_loss((1.0, 2, 0), (1.0, 0, 1)), (1.0, 0, 1));
-        assert_eq!(min_by_loss((1.0, 0, 2), (1.0, 0, 1)), (1.0, 0, 1));
-        // A strictly better value always wins regardless of indices.
-        assert_eq!(max_by_gain((1.0, 0, 0), (2.0, 9, 9)), (2.0, 9, 9));
-        assert_eq!(min_by_loss((1.0, 0, 0), (0.5, 9, 9)), (0.5, 9, 9));
-
-        let entry = |gain, sensor, slot| HeapEntry {
-            gain,
-            sensor,
-            slot,
-            version: 0,
-        };
-        let mut heap = BinaryHeap::from([entry(1.0, 2, 0), entry(1.0, 0, 1), entry(1.0, 0, 2)]);
-        let first = heap.pop().unwrap();
-        assert_eq!((first.sensor, first.slot), (0, 1), "max-heap tie order");
-
-        let pentry = |loss, sensor, slot| PassiveHeapEntry {
-            loss,
-            sensor,
-            slot,
-            version: 0,
-        };
-        let mut pheap = BinaryHeap::from([pentry(1.0, 2, 0), pentry(1.0, 0, 1), pentry(1.0, 0, 2)]);
-        let pfirst = pheap.pop().unwrap();
-        assert_eq!((pfirst.sensor, pfirst.slot), (0, 1), "min-heap tie order");
-        let psecond = pheap.pop().unwrap();
-        assert_eq!((psecond.sensor, psecond.slot), (0, 2));
     }
 
     #[test]

@@ -20,29 +20,30 @@
 //!   **maximum incremental utility**, exactly like Algorithm 1 but over
 //!   `d_v`-tick runs.
 //!
+//! Both phases are one climb of the crate's greedy engine (see
+//! [`crate::greedy`]) over run-shaped moves: a sensor picks one run start
+//! on its own period — the set-once shape of Set-Once Strip Cover. The
+//! lazy driver ([`hetero_greedy_lazy`], [`repair_fleet_schedule`], `cool
+//! run`) is the production path, stamping each move with the sum of its
+//! ticks' versions; the naive rescan ([`hetero_greedy_naive`]) is its
+//! oracle.
+//!
 //! On a fleet whose profiles are all identical, Phase A candidates are
 //! enumerated by passive-run start and Phase B candidates by active-run
 //! start, in the same `(value, sensor, slot)` total order as
 //! [`crate::greedy`] — so the schedule reduces **bit-for-bit** to
-//! [`greedy_active_naive`]/[`greedy_passive_naive`] under the canonical
-//! phase mapping ([`phases_from_period_schedule`]). `cool-check` pins this
-//! as relation `hetero-homog-reduce` (COOL-E028).
-//!
-//! [`hetero_greedy_lazy`] is the CELF dual: per-tick version stamps
-//! summed over a run detect staleness (versions only grow, so the sums
-//! are equal iff every tick is unchanged), and the usual submodularity
-//! argument — stale gains only shrink, stale losses only grow — makes the
-//! first fresh pop exact, in the same tie order.
+//! [`greedy_active_naive`](crate::greedy::greedy_active_naive) /
+//! [`greedy_passive_naive`](crate::greedy::greedy_passive_naive) under the
+//! canonical phase mapping ([`phases_from_period_schedule`]). `cool-check`
+//! pins this as relation `hetero-homog-reduce` (COOL-E028).
 
+use crate::engine::{Driver, Insert, Lazy, MoveSpace, Naive, Remove};
 use crate::errors::ScheduleBuildError;
-use crate::greedy::{max_by_gain, min_by_loss};
-use crate::repair::{RepairConfig, RepairMode};
+use crate::repair::{repair_with, RepairConfig, RepairOutcome};
 use crate::schedule::{PeriodSchedule, ScheduleMode};
 use cool_common::{SensorId, SensorSet};
 use cool_energy::{tick_transition, FleetGrid};
 use cool_utility::{Evaluator, UtilityFunction};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// A periodic heterogeneous schedule: `phases[v] ∈ 0..P_v` is the tick
@@ -281,7 +282,7 @@ pub fn phases_from_period_schedule(grid: &FleetGrid, schedule: &PeriodSchedule) 
 /// period `period`), repeated over every period in the hyperperiod, in
 /// canonical order: period by period, then run-relative offset ascending
 /// (wrapping within the period). Summation order over these ticks is part
-/// of the bit-for-bit contract between the naive and lazy variants.
+/// of the bit-for-bit contract between the naive and lazy drivers.
 fn run_ticks(
     period: usize,
     start: usize,
@@ -292,44 +293,96 @@ fn run_ticks(
         .flat_map(move |k| (0..len).map(move |j| k * period + (start + j) % period))
 }
 
-/// Sums a per-tick query over a run, surfacing non-finite values as the
-/// scheduler's typed error.
-fn sum_run<E: Evaluator>(
-    evaluators: &[E],
-    v: usize,
-    period: usize,
-    start: usize,
-    len: usize,
-    hyperperiod: usize,
-    query: impl Fn(&E, SensorId) -> f64,
-) -> Result<f64, ScheduleBuildError> {
-    let mut total = 0.0;
-    for tick in run_ticks(period, start, len, hyperperiod) {
-        let value = query(&evaluators[tick], SensorId(v));
-        if !value.is_finite() {
-            return Err(ScheduleBuildError::NonFiniteGain {
-                sensor: v,
-                slot: tick,
-                value,
-            });
-        }
-        total += value;
+/// The fleet greedy's moves: a sensor picks the start tick of its run
+/// within its own period; the move touches that run in every period of
+/// the hyperperiod. With `.1` set the runs are `r_v`-tick passive runs
+/// (Phase A), otherwise `d_v`-tick active runs (Phase B).
+pub(crate) struct Runs<'g>(pub(crate) &'g FleetGrid, pub(crate) bool);
+
+impl MoveSpace for Runs<'_> {
+    fn starts(&self, v: usize) -> usize {
+        self.0.period_ticks(v)
     }
-    Ok(total)
+
+    fn cells(&self, v: usize, start: usize) -> impl Iterator<Item = usize> {
+        let Runs(grid, passive) = *self;
+        let len = if passive {
+            grid.recharge_ticks(v)
+        } else {
+            grid.discharge_ticks(v)
+        };
+        run_ticks(grid.period_ticks(v), start, len, grid.hyperperiod())
+    }
 }
 
-/// Splits the fleet into the two greedy regimes, matching the homogeneous
-/// dispatcher: `ρ_v > 1` → active-kind (Phase B), else passive-kind
-/// (Phase A).
-fn passive_kind(grid: &FleetGrid) -> Vec<bool> {
-    (0..grid.n_sensors())
-        .map(|v| grid.cycle(v).rho() <= 1.0)
-        .collect()
+/// Tick `t`'s evaluator at the start of a climb: a sensor pinned to a
+/// phase follows its periodic pattern; a candidate starts active in every
+/// tick when passive-kind (Phase A carves out its passive run) and absent
+/// when active-kind (Phase B inserts its active run).
+pub(crate) fn fleet_evaluator<U: UtilityFunction>(
+    utility: &U,
+    grid: &FleetGrid,
+    passive: &[bool],
+    warm: &[Option<usize>],
+    t: usize,
+) -> U::Evaluator {
+    let mut e = utility.evaluator();
+    for (v, &phase) in warm.iter().enumerate() {
+        if phase.map_or(passive[v], |phase| grid.active_at(v, phase, t)) {
+            e.insert(SensorId(v));
+        }
+    }
+    e
 }
 
-/// The two-phase heterogeneous greedy (see the module docs). Deterministic:
-/// ties break toward the lower sensor index, then the lower run-start tick
-/// — the same total order as [`crate::greedy`].
+/// The two-phase fleet climb from `warm` (`warm[v] = Some(φ)` pins sensor
+/// `v` to phase `φ`, `None` makes it a candidate): Phase A, then Phase B,
+/// both run by `driver`. Returns the schedule and the per-tick queries run.
+fn climb_fleet<U: UtilityFunction>(
+    driver: &impl Driver<U::Evaluator>,
+    utility: &U,
+    grid: &FleetGrid,
+    warm: &[Option<usize>],
+) -> Result<(FleetSchedule, u64), ScheduleBuildError> {
+    let n = grid.n_sensors();
+    assert_eq!(
+        utility.universe(),
+        n,
+        "utility universe does not match grid"
+    );
+    // The two regimes, as the homogeneous dispatcher splits them: ρ_v > 1
+    // is active-kind (Phase B), anything else passive-kind (Phase A).
+    let passive: Vec<bool> = (0..n).map(|v| grid.cycle(v).rho() <= 1.0).collect();
+    let mut evaluators: Vec<U::Evaluator> = (0..grid.hyperperiod())
+        .map(|t| fleet_evaluator(utility, grid, &passive, warm, t))
+        .collect();
+    let candidates = |kind: bool| -> Vec<usize> {
+        (0..n)
+            .filter(|&v| warm[v].is_none() && passive[v] == kind)
+            .collect()
+    };
+    let (passive_runs, active_runs) = (Runs(grid, true), Runs(grid, false));
+    let phase_a = driver.climb(Remove, &passive_runs, &mut evaluators, &candidates(true))?;
+    let phase_b = driver.climb(Insert, &active_runs, &mut evaluators, &candidates(false))?;
+    // Both phases place every candidate or error, so no `MAX` is left.
+    let mut phases: Vec<usize> = warm.iter().map(|p| p.unwrap_or(usize::MAX)).collect();
+    // A passive run starting at ψ leaves the active run starting at ψ + r_v.
+    for (v, psi) in phase_a.picks {
+        phases[v] = (psi + grid.recharge_ticks(v)) % grid.period_ticks(v);
+    }
+    for (v, phi) in phase_b.picks {
+        phases[v] = phi;
+    }
+    Ok((
+        FleetSchedule::new(grid.clone(), phases),
+        phase_a.queries + phase_b.queries,
+    ))
+}
+
+/// The two-phase heterogeneous greedy (see the module docs) with the
+/// naive oracle. Deterministic: ties break toward the lower sensor index,
+/// then the lower run-start tick — the same total order as
+/// [`crate::greedy`].
 ///
 /// # Errors
 ///
@@ -343,171 +396,14 @@ pub fn hetero_greedy_naive<U: UtilityFunction>(
     utility: &U,
     grid: &FleetGrid,
 ) -> Result<FleetSchedule, ScheduleBuildError> {
-    let n = grid.n_sensors();
-    assert_eq!(
-        utility.universe(),
-        n,
-        "utility universe does not match grid"
-    );
-    let h = grid.hyperperiod();
-    let passive = passive_kind(grid);
-    let mut evaluators: Vec<U::Evaluator> = (0..h)
-        .map(|_| {
-            let mut e = utility.evaluator();
-            for (v, &is_passive) in passive.iter().enumerate() {
-                if is_passive {
-                    e.insert(SensorId(v));
-                }
-            }
-            e
-        })
-        .collect();
-    let mut phases = vec![usize::MAX; n];
-
-    // Phase A: carve passive runs by minimum decremental utility.
-    let mut unassigned: Vec<usize> = (0..n).filter(|&v| passive[v]).collect();
-    for _step in 0..unassigned.len() {
-        let mut best: Option<(f64, usize, usize)> = None; // (loss, sensor, psi)
-        for &v in &unassigned {
-            let p = grid.period_ticks(v);
-            let r = grid.recharge_ticks(v);
-            for psi in 0..p {
-                let loss = sum_run(&evaluators, v, p, psi, r, h, E::loss_of)?;
-                let candidate = (loss, v, psi);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => min_by_loss(current, candidate),
-                });
-            }
-        }
-        let Some((loss, v, psi)) = best else {
-            break;
-        };
-        cool_common::invariant!(
-            loss >= -1e-9,
-            "negative run loss {loss} for sensor {v} at start {psi}"
-        );
-        let (p, r) = (grid.period_ticks(v), grid.recharge_ticks(v));
-        for tick in run_ticks(p, psi, r, h) {
-            evaluators[tick].remove(SensorId(v));
-        }
-        phases[v] = (psi + r) % p;
-        unassigned.retain(|&u| u != v);
-    }
-
-    // Phase B: insert active runs by maximum incremental utility.
-    let mut unassigned: Vec<usize> = (0..n).filter(|&v| !passive[v]).collect();
-    for _step in 0..unassigned.len() {
-        let mut best: Option<(f64, usize, usize)> = None; // (gain, sensor, phi)
-        for &v in &unassigned {
-            let p = grid.period_ticks(v);
-            let d = grid.discharge_ticks(v);
-            for phi in 0..p {
-                let gain = sum_run(&evaluators, v, p, phi, d, h, E::gain_of)?;
-                let candidate = (gain, v, phi);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => max_by_gain(current, candidate),
-                });
-            }
-        }
-        let Some((gain, v, phi)) = best else {
-            break;
-        };
-        cool_common::invariant!(
-            gain >= -1e-9,
-            "negative run gain {gain} for sensor {v} at start {phi}"
-        );
-        let (p, d) = (grid.period_ticks(v), grid.discharge_ticks(v));
-        for tick in run_ticks(p, phi, d, h) {
-            evaluators[tick].insert(SensorId(v));
-        }
-        phases[v] = phi;
-        unassigned.retain(|&u| u != v);
-    }
-
-    Ok(FleetSchedule::new(grid.clone(), phases))
+    let cold = vec![None; grid.n_sensors()];
+    climb_fleet(&Naive, utility, grid, &cold).map(|(schedule, _)| schedule)
 }
 
-/// Free-function forms of the [`Evaluator`] queries, so [`sum_run`] call
-/// sites can name them without closure-type gymnastics.
-struct E;
-impl E {
-    fn gain_of<Ev: Evaluator>(e: &Ev, v: SensorId) -> f64 {
-        e.gain(v)
-    }
-    fn loss_of<Ev: Evaluator>(e: &Ev, v: SensorId) -> f64 {
-        e.loss(v)
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RunEntry {
-    value: f64,
-    sensor: usize,
-    start: usize,
-    /// Sum of the per-tick versions over the run at evaluation time.
-    /// Versions only grow, so equal sums ⇒ every tick unchanged.
-    stamp: u64,
-}
-
-/// Max-heap wrapper: pops the largest value, ties toward the lower sensor
-/// then the lower run start (the [`max_by_gain`] order).
-#[derive(Debug, Clone, Copy)]
-struct MaxRunEntry(RunEntry);
-
-impl PartialEq for MaxRunEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for MaxRunEntry {}
-impl PartialOrd for MaxRunEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MaxRunEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .value
-            .partial_cmp(&other.0.value)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.0.sensor.cmp(&self.0.sensor))
-            .then_with(|| other.0.start.cmp(&self.0.start))
-    }
-}
-
-/// Min-heap wrapper: pops the smallest value, same tie order.
-#[derive(Debug, Clone, Copy)]
-struct MinRunEntry(RunEntry);
-
-impl PartialEq for MinRunEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for MinRunEntry {}
-impl PartialOrd for MinRunEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MinRunEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .0
-            .value
-            .partial_cmp(&self.0.value)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.0.sensor.cmp(&self.0.sensor))
-            .then_with(|| other.0.start.cmp(&self.0.start))
-    }
-}
-
-/// Lazy (CELF-style) form of [`hetero_greedy_naive`]; identical output
-/// (asserted by this module's property tests and the `cool-check`
-/// differential relation).
+/// The two-phase heterogeneous greedy with the lazy driver, the
+/// production path; identical output to [`hetero_greedy_naive`] (asserted
+/// by this module's property tests and the `cool-check` differential
+/// relation).
 ///
 /// # Errors
 ///
@@ -516,166 +412,17 @@ impl Ord for MinRunEntry {
 /// # Panics
 ///
 /// Panics when the utility universe does not match the grid.
-#[allow(clippy::too_many_lines)] // one linear recipe: seed heaps, drain phase A, drain phase B
-pub fn hetero_greedy_lazy<U: UtilityFunction>(
+pub fn hetero_greedy_lazy<U: UtilityFunction<Evaluator: Sync>>(
     utility: &U,
     grid: &FleetGrid,
 ) -> Result<FleetSchedule, ScheduleBuildError> {
-    let n = grid.n_sensors();
-    assert_eq!(
-        utility.universe(),
-        n,
-        "utility universe does not match grid"
-    );
-    let h = grid.hyperperiod();
-    let passive = passive_kind(grid);
-    let mut evaluators: Vec<U::Evaluator> = (0..h)
-        .map(|_| {
-            let mut e = utility.evaluator();
-            for (v, &is_passive) in passive.iter().enumerate() {
-                if is_passive {
-                    e.insert(SensorId(v));
-                }
-            }
-            e
-        })
-        .collect();
-    let mut tick_version = vec![0u32; h];
-    let mut phases = vec![usize::MAX; n];
-    let mut assigned = vec![false; n];
-
-    let stamp_of = |versions: &[u32], period: usize, start: usize, len: usize| -> u64 {
-        run_ticks(period, start, len, h)
-            .map(|t| u64::from(versions[t]))
-            .sum()
-    };
-
-    // Phase A: min-heap over passive-run losses.
-    let mut remaining = passive.iter().filter(|&&p| p).count();
-    if remaining > 0 {
-        let mut heap: BinaryHeap<MinRunEntry> = BinaryHeap::new();
-        for (v, &is_passive) in passive.iter().enumerate() {
-            if !is_passive {
-                continue;
-            }
-            let (p, r) = (grid.period_ticks(v), grid.recharge_ticks(v));
-            for psi in 0..p {
-                let loss = sum_run(&evaluators, v, p, psi, r, h, E::loss_of)?;
-                heap.push(MinRunEntry(RunEntry {
-                    value: loss,
-                    sensor: v,
-                    start: psi,
-                    stamp: stamp_of(&tick_version, p, psi, r),
-                }));
-            }
-        }
-        while remaining > 0 {
-            let Some(MinRunEntry(entry)) = heap.pop() else {
-                return Err(ScheduleBuildError::EmptySlotCount);
-            };
-            if assigned[entry.sensor] {
-                continue;
-            }
-            let v = entry.sensor;
-            let (p, r) = (grid.period_ticks(v), grid.recharge_ticks(v));
-            let stamp = stamp_of(&tick_version, p, entry.start, r);
-            if entry.stamp != stamp {
-                let loss = sum_run(&evaluators, v, p, entry.start, r, h, E::loss_of)?;
-                cool_common::invariant!(
-                    loss >= entry.value - 1e-9,
-                    "stale run loss shrank from {} to {loss}: utility is not submodular",
-                    entry.value
-                );
-                heap.push(MinRunEntry(RunEntry {
-                    value: loss,
-                    sensor: v,
-                    start: entry.start,
-                    stamp,
-                }));
-                continue;
-            }
-            for tick in run_ticks(p, entry.start, r, h) {
-                evaluators[tick].remove(SensorId(v));
-                tick_version[tick] += 1;
-            }
-            phases[v] = (entry.start + r) % p;
-            assigned[v] = true;
-            remaining -= 1;
-        }
-    }
-
-    // Phase B: max-heap over active-run gains.
-    let mut remaining = passive.iter().filter(|&&p| !p).count();
-    if remaining > 0 {
-        let mut heap: BinaryHeap<MaxRunEntry> = BinaryHeap::new();
-        for (v, &is_passive) in passive.iter().enumerate() {
-            if is_passive {
-                continue;
-            }
-            let (p, d) = (grid.period_ticks(v), grid.discharge_ticks(v));
-            for phi in 0..p {
-                let gain = sum_run(&evaluators, v, p, phi, d, h, E::gain_of)?;
-                heap.push(MaxRunEntry(RunEntry {
-                    value: gain,
-                    sensor: v,
-                    start: phi,
-                    stamp: stamp_of(&tick_version, p, phi, d),
-                }));
-            }
-        }
-        while remaining > 0 {
-            let Some(MaxRunEntry(entry)) = heap.pop() else {
-                return Err(ScheduleBuildError::EmptySlotCount);
-            };
-            if assigned[entry.sensor] {
-                continue;
-            }
-            let v = entry.sensor;
-            let (p, d) = (grid.period_ticks(v), grid.discharge_ticks(v));
-            let stamp = stamp_of(&tick_version, p, entry.start, d);
-            if entry.stamp != stamp {
-                let gain = sum_run(&evaluators, v, p, entry.start, d, h, E::gain_of)?;
-                cool_common::invariant!(
-                    gain <= entry.value + 1e-9,
-                    "stale run gain grew from {} to {gain}: utility is not submodular",
-                    entry.value
-                );
-                heap.push(MaxRunEntry(RunEntry {
-                    value: gain,
-                    sensor: v,
-                    start: entry.start,
-                    stamp,
-                }));
-                continue;
-            }
-            for tick in run_ticks(p, entry.start, d, h) {
-                evaluators[tick].insert(SensorId(v));
-                tick_version[tick] += 1;
-            }
-            phases[v] = entry.start;
-            assigned[v] = true;
-            remaining -= 1;
-        }
-    }
-
-    Ok(FleetSchedule::new(grid.clone(), phases))
+    let cold = vec![None; grid.n_sensors()];
+    climb_fleet(&Lazy { threads: None }, utility, grid, &cold).map(|(schedule, _)| schedule)
 }
 
-/// Result of a heterogeneous warm-start repair — the grid analogue of
-/// [`crate::repair::RepairOutcome`].
-#[derive(Debug, Clone)]
-pub struct FleetRepairOutcome {
-    /// The repaired schedule.
-    pub schedule: FleetSchedule,
-    /// Which path produced it.
-    pub mode: RepairMode,
-    /// Per-tick marginal-utility queries performed on the warm-start path.
-    /// For [`RepairMode::Full`] this is the nominal from-scratch budget
-    /// `H · n(n+1)/2`.
-    pub cells_touched: u64,
-    /// Size of the dirty set the caller passed in.
-    pub dirty_sensors: usize,
-}
+/// Result of a heterogeneous warm-start repair — the grid form of
+/// [`RepairOutcome`].
+pub type FleetRepairOutcome = RepairOutcome<FleetSchedule>;
 
 /// Warm-start repair on the LCM grid, mirroring the contract of
 /// [`crate::repair::repair_schedule`]:
@@ -683,10 +430,13 @@ pub struct FleetRepairOutcome {
 /// * empty `dirty` on a compatible previous schedule → returned
 ///   bit-for-bit, zero cells;
 /// * incompatible grid or dirty fraction above
-///   [`RepairConfig::full_threshold`] → from-scratch
-///   [`hetero_greedy_naive`] ([`RepairMode::Full`]);
+///   [`RepairConfig::full_threshold`] → from-scratch greedy, identical to
+///   [`hetero_greedy_lazy`]
+///   ([`RepairMode::Full`](crate::repair::RepairMode::Full));
 /// * otherwise → clean sensors pinned to their previous phases, only the
 ///   dirty ones re-greedied (Phase A then Phase B over the dirty subset).
+///
+/// Both modes run the lazy driver.
 ///
 /// # Errors
 ///
@@ -695,8 +445,7 @@ pub struct FleetRepairOutcome {
 /// # Panics
 ///
 /// Panics when the utility universe does not match the grid.
-#[allow(clippy::too_many_lines)] // one linear recipe: warm-start evaluators, then both greedy phases
-pub fn repair_fleet_schedule<U: UtilityFunction>(
+pub fn repair_fleet_schedule<U: UtilityFunction<Evaluator: Sync>>(
     utility: &U,
     grid: &FleetGrid,
     previous: &FleetSchedule,
@@ -704,131 +453,28 @@ pub fn repair_fleet_schedule<U: UtilityFunction>(
     config: &RepairConfig,
 ) -> Result<FleetRepairOutcome, ScheduleBuildError> {
     let n = grid.n_sensors();
-    assert_eq!(
-        utility.universe(),
+    // A utility over another universe takes the full path, whose climb
+    // panics on the mismatch.
+    let compatible = utility.universe() == n
+        && previous.grid() == grid
+        && previous.n_sensors() == n
+        && dirty.universe() == n;
+    repair_with(
+        previous,
+        compatible,
         n,
-        "utility universe does not match grid"
-    );
-    let h = grid.hyperperiod();
-    let compatible = previous.grid() == grid && previous.n_sensors() == n && dirty.universe() == n;
-
-    if compatible && dirty.is_empty() {
-        return Ok(FleetRepairOutcome {
-            schedule: previous.clone(),
-            mode: RepairMode::Incremental,
-            cells_touched: 0,
-            dirty_sensors: 0,
-        });
-    }
-
-    let dirty_fraction = if n == 0 {
-        0.0
-    } else {
-        dirty.len() as f64 / n as f64
-    };
-    if !compatible || dirty_fraction > config.full_threshold {
-        let schedule = hetero_greedy_naive(utility, grid)?;
-        let n64 = n as u64;
-        return Ok(FleetRepairOutcome {
-            schedule,
-            mode: RepairMode::Full,
-            cells_touched: h as u64 * n64 * (n64 + 1) / 2,
-            dirty_sensors: dirty.len(),
-        });
-    }
-
-    let passive = passive_kind(grid);
-    // Warm start: dirty passive-kind sensors re-enter "active everywhere";
-    // clean sensors are pinned to their previous periodic pattern.
-    let mut evaluators: Vec<U::Evaluator> = (0..h)
-        .map(|t| {
-            let mut e = utility.evaluator();
-            for (v, &is_passive) in passive.iter().enumerate() {
-                let member = if dirty.contains(SensorId(v)) {
-                    is_passive
-                } else {
-                    previous.is_active(v, t)
-                };
-                if member {
-                    e.insert(SensorId(v));
-                }
-            }
-            e
-        })
-        .collect();
-    let mut phases = previous.phases().to_vec();
-    let mut cells = 0u64;
-
-    // Phase A over dirty passive-kind sensors.
-    let mut unassigned: Vec<usize> = (0..n)
-        .filter(|&v| passive[v] && dirty.contains(SensorId(v)))
-        .collect();
-    for _step in 0..unassigned.len() {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for &v in &unassigned {
-            let (p, r) = (grid.period_ticks(v), grid.recharge_ticks(v));
-            for psi in 0..p {
-                let loss = sum_run(&evaluators, v, p, psi, r, h, E::loss_of)?;
-                cells += (r * (h / p)) as u64;
-                let candidate = (loss, v, psi);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => min_by_loss(current, candidate),
-                });
-            }
-        }
-        let Some((_, v, psi)) = best else {
-            break;
-        };
-        let (p, r) = (grid.period_ticks(v), grid.recharge_ticks(v));
-        for tick in run_ticks(p, psi, r, h) {
-            evaluators[tick].remove(SensorId(v));
-        }
-        phases[v] = (psi + r) % p;
-        unassigned.retain(|&u| u != v);
-    }
-
-    // Phase B over dirty active-kind sensors.
-    let mut unassigned: Vec<usize> = (0..n)
-        .filter(|&v| !passive[v] && dirty.contains(SensorId(v)))
-        .collect();
-    for _step in 0..unassigned.len() {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for &v in &unassigned {
-            let (p, d) = (grid.period_ticks(v), grid.discharge_ticks(v));
-            for phi in 0..p {
-                let gain = sum_run(&evaluators, v, p, phi, d, h, E::gain_of)?;
-                cells += (d * (h / p)) as u64;
-                let candidate = (gain, v, phi);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => max_by_gain(current, candidate),
-                });
-            }
-        }
-        let Some((_, v, phi)) = best else {
-            break;
-        };
-        let (p, d) = (grid.period_ticks(v), grid.discharge_ticks(v));
-        for tick in run_ticks(p, phi, d, h) {
-            evaluators[tick].insert(SensorId(v));
-        }
-        phases[v] = phi;
-        unassigned.retain(|&u| u != v);
-    }
-
-    Ok(FleetRepairOutcome {
-        schedule: FleetSchedule::new(grid.clone(), phases),
-        mode: RepairMode::Incremental,
-        cells_touched: cells,
-        dirty_sensors: dirty.len(),
-    })
+        dirty,
+        config.full_threshold,
+        |v| previous.phases()[v],
+        |warm| climb_fleet(&Lazy { threads: None }, utility, grid, warm),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::greedy::{greedy_active_naive, greedy_passive_naive};
+    use crate::repair::RepairMode;
     use cool_common::SeedSequence;
     use cool_energy::{ChargeCycle, Fleet};
     use cool_utility::DetectionUtility;

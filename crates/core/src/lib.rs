@@ -52,6 +52,7 @@
 
 pub mod baselines;
 pub mod bounds;
+mod engine;
 pub mod errors;
 pub mod greedy;
 pub mod hetero;

@@ -30,8 +30,8 @@ use cool_core::baselines::{
     static_schedule,
 };
 use cool_core::bounds::{grid_duty_upper_bound, single_target_upper_bound_with_budget};
-use cool_core::greedy::{greedy_schedule, greedy_schedule_lazy};
-use cool_core::hetero::{hetero_greedy_lazy, hetero_greedy_naive, GridSchedule};
+use cool_core::greedy::greedy_schedule_lazy;
+use cool_core::hetero::{hetero_greedy_lazy, GridSchedule};
 use cool_core::instances::geometric_multi_target;
 use cool_core::problem::Problem;
 use cool_core::schedule::PeriodSchedule;
@@ -44,10 +44,11 @@ use std::str::FromStr;
 /// Which scheduling algorithm a scenario runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Greedy hill-climbing (Algorithm 1), naive implementation.
+    /// Greedy hill-climbing (Algorithm 1), run by the lazy (CELF) greedy
+    /// engine — the same schedules as the naive loop of the paper.
     #[default]
     Greedy,
-    /// Lazy (CELF) greedy — identical output, faster.
+    /// Alias of [`SchedulerKind::Greedy`]: the same lazy greedy engine.
     Lazy,
     /// Round-robin baseline.
     RoundRobin,
@@ -454,7 +455,7 @@ impl Scenario {
              radius             = {}\n\
              comms_radius       = {}   # 0 disables the connectivity lint\n\
              seed               = {}\n\
-             scheduler          = {}   # greedy | lazy | round-robin | random | static | rsc | set-once | hef\n\
+             scheduler          = {}   # greedy | lazy (same engine) | round-robin | random | static | rsc | set-once | hef\n\
              # Heterogeneous fleets: uncomment any of the four per-sensor\n\
              # profile lists (comma-separated, assigned cyclically). When\n\
              # any is set, the profiles define the energy model and the\n\
@@ -621,10 +622,7 @@ impl Scenario {
             ..
         } = &built;
         let schedule: GridSchedule = match self.scheduler {
-            SchedulerKind::Greedy => hetero_greedy_naive(utility, grid)
-                .map_err(|e| e.to_string())?
-                .to_grid_schedule(),
-            SchedulerKind::Lazy => hetero_greedy_lazy(utility, grid)
+            SchedulerKind::Greedy | SchedulerKind::Lazy => hetero_greedy_lazy(utility, grid)
                 .map_err(|e| e.to_string())?
                 .to_grid_schedule(),
             SchedulerKind::Rsc => rsc_schedule(utility, grid).map_err(|e| e.to_string())?,
@@ -667,8 +665,7 @@ impl Scenario {
         let seeds = SeedSequence::new(self.seed);
 
         let schedule = match self.scheduler {
-            SchedulerKind::Greedy => greedy_schedule(problem),
-            SchedulerKind::Lazy => greedy_schedule_lazy(problem),
+            SchedulerKind::Greedy | SchedulerKind::Lazy => greedy_schedule_lazy(problem),
             SchedulerKind::RoundRobin => round_robin_schedule(problem),
             SchedulerKind::Random => random_schedule(problem, &mut seeds.nth_rng(1)),
             SchedulerKind::Static => static_schedule(problem),
@@ -1007,6 +1004,7 @@ mod tests {
 
     #[test]
     fn build_matches_run() {
+        use cool_core::greedy::greedy_schedule;
         let s = Scenario::parse("sensors = 15\ntargets = 2\nregion = 150\nradius = 50\n").unwrap();
         let built = s.build().unwrap();
         assert_eq!(built.cycle.slots_per_period(), 4);

@@ -246,15 +246,21 @@ pub fn run_loadgen(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
                     let mut reweight_flip = false;
                     let mut next_fire = Instant::now();
                     while Instant::now() < deadline {
-                        if let Some(pace) = pace {
+                        // A paced request is timed from its due time, so
+                        // when a slow response holds the worker back, the
+                        // wait is charged to the requests that queued
+                        // behind it instead of vanishing from the tally.
+                        let due = pace.map(|pace| {
+                            let due = next_fire;
                             let now = Instant::now();
-                            if now < next_fire {
-                                std::thread::sleep(next_fire - now);
+                            if now < due {
+                                std::thread::sleep(due - now);
                             }
                             // When behind, fire immediately — open loop
                             // does not let slow responses gate arrivals.
                             next_fire += pace;
-                        }
+                            due
+                        });
                         let session = config.session_ratio > 0.0
                             && rng.random_range(0.0..1.0) < config.session_ratio;
                         let (method, path, body);
@@ -276,7 +282,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
                             body = schedule_body(idx, config.distinct);
                             idx += 1;
                         }
-                        let fired = Instant::now();
+                        let fired = due.unwrap_or_else(Instant::now);
                         match fire(addr, &mut conn, config.keep_alive, method, &path, &body) {
                             Ok(response) => {
                                 tally
@@ -356,6 +362,58 @@ fn extract_session_id(body: &str) -> Option<String> {
 mod tests {
     use super::*;
     use crate::server::{Server, ServerConfig};
+
+    /// Serves one keep-alive connection with empty 200s until the client
+    /// hangs up, holding reply number `stall_at` back for `stall`.
+    fn stalling_server(
+        stall_at: usize,
+        stall: Duration,
+    ) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        use std::io::Write as _;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            let reply = crate::http::render_response(200, "application/json", &[], b"{}", true);
+            for served in 1.. {
+                if crate::http::read_request(&mut reader).is_err() {
+                    return;
+                }
+                if served == stall_at {
+                    std::thread::sleep(stall);
+                }
+                if stream.write_all(&reply).is_err() {
+                    return;
+                }
+            }
+        });
+        (addr, handle)
+    }
+
+    /// One 200 ms stall at a fixed 100 req/s delays the ~20 requests due
+    /// during it; timed from their due times they carry the stall, so it
+    /// reaches the p99 (timed from the send, only the stalled request
+    /// would, and the p99 of ~100 samples would stay at a few ms).
+    #[test]
+    fn paced_latency_counts_the_wait_behind_a_stall() {
+        let (addr, server) = stalling_server(5, Duration::from_millis(200));
+        let report = run_loadgen(&LoadgenConfig {
+            addr: addr.to_string(),
+            duration_ms: 1_000,
+            concurrency: 1,
+            rate: Some(100.0),
+            distinct: 2,
+            ..LoadgenConfig::default()
+        })
+        .unwrap();
+        server.join().unwrap();
+        assert_eq!(report.errors, 0, "{report:?}");
+        assert!(
+            report.p99_ms >= 100.0,
+            "stall missing from the p99: {report:?}"
+        );
+    }
 
     #[test]
     fn percentiles_pick_sane_indices() {

@@ -37,8 +37,8 @@ pub struct ServeMetrics {
     pub sessions_active: Gauge,
     /// `cool_session_repairs_total{mode="incremental|full"}`.
     pub session_repairs: CounterVec,
-    /// `cool_session_cells_touched_total` — (sensor, slot) cells the
-    /// warm-start repairs re-evaluated.
+    /// `cool_session_cells_touched_total` — gain/loss queries the greedy
+    /// driver ran across session repairs, incremental and full.
     pub session_cells_touched: Counter,
     /// `cool_session_repair_seconds` — patch-to-repaired latency.
     pub session_repair_seconds: Histogram,
@@ -209,7 +209,7 @@ impl ServeMetrics {
         self.session_cells_touched.render(
             &mut out,
             "cool_session_cells_touched_total",
-            "(sensor, slot) cells re-evaluated by session repairs.",
+            "Gain/loss queries run by session repairs (incremental and full).",
         );
         self.session_repair_seconds.render(
             &mut out,

@@ -10,7 +10,7 @@
 //! for later resurrection.
 
 use cool_common::{SensorId, SensorSet};
-use cool_core::{greedy::try_greedy_schedule, PeriodSchedule, Problem};
+use cool_core::{greedy::try_greedy_schedule_lazy, PeriodSchedule, Problem};
 use cool_energy::ChargeCycle;
 use cool_scenario::Scenario;
 use cool_utility::{AnyUtility, DetectionUtility, SumUtility, UtilityFunction};
@@ -213,8 +213,9 @@ impl SessionInstance {
         Ok(())
     }
 
-    /// Solves the instance from scratch with the naive greedy — the
-    /// reference the warm-start repair is measured against.
+    /// Solves the instance from scratch with the lazy greedy, the
+    /// production path — the reference the warm-start repair is measured
+    /// against, and bit-for-bit the naive greedy's schedule.
     ///
     /// # Errors
     ///
@@ -222,7 +223,7 @@ impl SessionInstance {
     pub fn solve(&self) -> Result<PeriodSchedule, String> {
         let problem = Problem::new(self.utility(), self.cycle(), self.periods())
             .map_err(|e| e.to_string())?;
-        try_greedy_schedule(&problem).map_err(|e| e.to_string())
+        try_greedy_schedule_lazy(&problem).map_err(|e| e.to_string())
     }
 
     /// Sets the cycle minutes (pre-validated by the caller via
@@ -338,6 +339,8 @@ mod tests {
 
     #[test]
     fn from_scenario_matches_scratch_solve() {
+        use cool_core::greedy::try_greedy_schedule;
+
         let scenario = Scenario {
             sensors: 20,
             targets: 3,
