@@ -3,11 +3,12 @@
 //! deterministic response rendering.
 //!
 //! Response bodies for successful schedule computations are **pure
-//! functions of (scenario, algorithm)** — no timestamps, request ids, or
-//! other per-call variation — which is what makes caching them at the body
-//! level sound: a cache hit is byte-identical to a cold compute.
+//! functions of the exact request item** (scenario text, overrides, audit
+//! flag, algorithm) — no timestamps, request ids, or other per-call
+//! variation — which is what makes caching them at the body level under
+//! [`item_key`] sound: a cache hit is byte-identical to a cold compute.
 
-use crate::cache::CacheKey;
+use crate::cache::{CacheKey, ItemKey};
 use cool_common::json::{self, escape, Value};
 use cool_common::{CoolCode, SeedSequence};
 use cool_core::greedy::greedy_schedule_lazy;
@@ -365,7 +366,25 @@ pub fn resolve_and_lint(item: &ScheduleItem) -> Result<(Scenario, String), ApiEr
     Ok((scenario, warnings))
 }
 
-/// The cache key for (scenario, algorithm).
+/// The daemon's cache key for one request item: its exact scenario text,
+/// overrides in order, audit flag and algorithm selector.
+///
+/// Lint is deterministic and only bodies of clean items are cached, so a
+/// hit under this key proves the item already passed the pre-flight.
+#[must_use]
+pub fn item_key(item: &ScheduleItem) -> ItemKey {
+    ItemKey::new(
+        &item.scenario_text,
+        &item.overrides,
+        item.audit,
+        &item.algorithm.selector(),
+    )
+}
+
+/// The canonical identity of (scenario, algorithm), whose digest is the
+/// `scenario_hash` of the response body. Textually different items with
+/// one canonical form share it, which is why the daemon caches by
+/// [`item_key`] instead.
 #[must_use]
 pub fn cache_key(scenario: &Scenario, algorithm: &Algorithm) -> CacheKey {
     CacheKey::new(scenario.canonical(), algorithm.selector())

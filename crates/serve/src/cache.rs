@@ -2,18 +2,72 @@
 //!
 //! The paper's online setting re-solves the same deployments every working
 //! period; the daemon therefore memoises the **full response body** keyed
-//! by the canonical scenario text plus the algorithm selector. Keys compare
-//! by full content — the stable FNV-1a digest ([`CacheKey::hash`]) is only
-//! a fast-reject prefix, so hash collisions can never alias two different
-//! requests to one cached response.
+//! by the exact request item ([`ItemKey`]): the raw scenario text, the
+//! `set` overrides in order, the `audit` flag and the algorithm selector.
+//! A body is a pure function of exactly those four fields — the lint
+//! warnings it embeds depend on the raw text and the audit flag, not only
+//! on the canonical scenario — so nothing coarser is a sound key. Keys
+//! compare by full content; the stable FNV-1a digest ([`ItemKey::hash`])
+//! is only a fast-reject prefix and shard selector, so hash collisions can
+//! never alias two different requests to one cached response.
+//!
+//! [`CacheKey`] is the canonical scenario identity behind the
+//! `scenario_hash` every response body carries; the daemon does not cache
+//! by it.
 
-use cool_common::hash::StableHasher;
+use cool_common::hash::{fnv1a_64, StableHasher};
 
-/// A collision-free cache key: digest for fast rejection, full canonical
-/// content for equality.
+/// The daemon's schedule-cache key: an unambiguous encoding of one exact
+/// request item, with its digest for fast rejection.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ItemKey {
+    /// Stable FNV-1a digest of [`ItemKey::bytes`]; picks the cache shard.
+    pub hash: u64,
+    /// Length-prefixed fields: scenario text, override count, each
+    /// override key and value in request order, the audit flag byte, and
+    /// the algorithm selector. Every variable-length field carries its
+    /// length, so no two distinct items share an encoding.
+    pub bytes: Vec<u8>,
+}
+
+impl ItemKey {
+    /// Encodes one request item. `selector` is the parameterised
+    /// algorithm selector, e.g. `lp-rounding:16`.
+    #[must_use]
+    pub fn new(
+        scenario_text: &str,
+        overrides: &[(String, String)],
+        audit: bool,
+        selector: &str,
+    ) -> Self {
+        fn field(out: &mut Vec<u8>, bytes: &[u8]) {
+            out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+            out.extend_from_slice(bytes);
+        }
+        let mut bytes = Vec::with_capacity(scenario_text.len() + selector.len() + 32);
+        field(&mut bytes, scenario_text.as_bytes());
+        bytes.extend_from_slice(&(overrides.len() as u64).to_le_bytes());
+        for (key, value) in overrides {
+            field(&mut bytes, key.as_bytes());
+            field(&mut bytes, value.as_bytes());
+        }
+        bytes.push(u8::from(audit));
+        field(&mut bytes, selector.as_bytes());
+        ItemKey {
+            hash: fnv1a_64(&bytes),
+            bytes,
+        }
+    }
+}
+
+/// The canonical scenario identity: digest for fast rejection, full
+/// canonical content for equality. Its digest is the `scenario_hash` of
+/// every response body; two items that differ only in surface syntax share
+/// it while still caching under distinct [`ItemKey`]s.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheKey {
-    /// Stable FNV-1a digest of (canonical scenario, algorithm).
+    /// Stable FNV-1a digest of (canonical scenario, algorithm); rendered
+    /// as the response's `scenario_hash`.
     pub hash: u64,
     /// Canonical scenario normal form ([`cool_scenario::Scenario::canonical`]).
     pub canonical: String,
@@ -207,5 +261,32 @@ mod tests {
         let d = CacheKey::new("sensors=1\ngr".into(), "eedy".into());
         assert_ne!(a, d);
         assert_ne!(a.hash, d.hash, "separator keeps digests apart too");
+    }
+
+    fn pairs(list: &[(&str, &str)]) -> Vec<(String, String)> {
+        list.iter()
+            .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn item_key_field_boundaries_are_unambiguous() {
+        let base = ItemKey::new("sensors = 1\n", &pairs(&[("seed", "7")]), false, "greedy");
+        assert_eq!(
+            base,
+            ItemKey::new("sensors = 1\n", &pairs(&[("seed", "7")]), false, "greedy")
+        );
+        // Moving bytes across a field boundary changes the key.
+        let shifted = [
+            ItemKey::new("sensors = 1\nseed", &pairs(&[("", "7")]), false, "greedy"),
+            ItemKey::new("sensors = 1\n", &pairs(&[("see", "d7")]), false, "greedy"),
+            ItemKey::new("sensors = 1\n", &pairs(&[("seed", "7g")]), false, "reedy"),
+            ItemKey::new("sensors = 1\n", &[], false, "greedy"),
+            ItemKey::new("sensors = 1\n", &pairs(&[("seed", "7")]), true, "greedy"),
+        ];
+        for other in &shifted {
+            assert_ne!(&base, other);
+            assert_ne!(base.hash, other.hash);
+        }
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! | Endpoint | Method | Purpose |
 //! |---|---|---|
-//! | `/v1/schedule` | POST | lint pre-flight → compute (greedy / lp-rounding / horizon) → schedule + per-slot utility JSON; `{"batch":[...]}` fans out over the worker pool |
+//! | `/v1/schedule` | POST | cache lookup by exact item → on a miss, lint pre-flight → compute (greedy / lp-rounding / horizon) → schedule + per-slot utility JSON; `{"batch":[...]}` fans out over the worker pool |
 //! | `/v1/lint` | POST | the `cool-lint` pre-flight as a standalone check |
 //! | `/v1/scenario` | PUT | create a live session: lint, solve, store (LRU-bounded; evicted/deleted ids answer 410) |
 //! | `/v1/scenario/{id}` | PATCH | apply a delta sequence with warm-start schedule repair |
@@ -23,8 +23,9 @@
 //! [`cool_common::parallel::WorkerPool`]; a full shard sheds load with
 //! HTTP 429 (`COOL-E018`), requests past their wall-clock budget answer
 //! 408 (`COOL-E017`), and successful schedule bodies are memoised in a
-//! content-addressed, N-way-sharded LRU cache — sound because bodies are
-//! pure functions of (canonical scenario, algorithm). The legacy
+//! content-addressed, N-way-sharded LRU cache keyed by the exact request
+//! item — sound because bodies are pure functions of that item, and a hit
+//! skips the lint pre-flight it already passed. The legacy
 //! thread-per-connection transport ([`server::ServeMode::Threaded`])
 //! remains as the measured baseline and non-unix fallback.
 //!
@@ -48,7 +49,7 @@ pub mod shard;
 pub mod smoke;
 
 pub use api::{Algorithm, ApiError};
-pub use cache::{CacheKey, LruCache};
+pub use cache::{CacheKey, ItemKey, LruCache};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use server::{ServeMode, Server, ServerConfig};
 pub use smoke::{run_session_smoke, run_smoke};

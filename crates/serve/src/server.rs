@@ -3,9 +3,10 @@
 //! graceful drain on shutdown — behind either of two transports.
 //!
 //! Request flow (DESIGN.md §8/§13): accept → parse → bounded worker queue
-//! (429 when full) → route → lint pre-flight → cache lookup → `cool-core`
-//! compute → cache fill → response. `POST /v1/shutdown` flips a flag the
-//! acceptor polls; accepted work is drained before the listener closes.
+//! (429 when full) → route → cache lookup by exact item → on a miss, lint
+//! pre-flight → `cool-core` compute → cache fill → response.
+//! `POST /v1/shutdown` flips a flag the acceptor polls; accepted work is
+//! drained before the listener closes.
 //!
 //! [`ServeMode::Event`] (default, unix) runs the non-blocking `poll(2)`
 //! event loop in [`crate::event`] with HTTP/1.1 keep-alive and request
@@ -458,15 +459,19 @@ pub(crate) fn route(state: &AppState, request: &Request, accepted_at: Instant) -
     }
 }
 
-/// Runs one schedule item through lint → cache → compute, returning the
+/// Runs one schedule item through cache → lint → compute, returning the
 /// response body and whether it was served from cache.
+///
+/// The cache is keyed by the exact item ([`api::item_key`]) and holds only
+/// bodies of items that passed the pre-flight, so a hit skips the lint;
+/// a miss is linted exactly once, here.
 fn process_item(state: &AppState, item: &ScheduleItem) -> Result<(String, bool), ApiError> {
-    let (scenario, warnings) = api::resolve_and_lint(item)?;
-    let key = api::cache_key(&scenario, &item.algorithm);
+    let key = api::item_key(item);
     if let Some(body) = state.cache.get(&key) {
         state.metrics.cache_hits.inc();
         return Ok((body, true));
     }
+    let (scenario, warnings) = api::resolve_and_lint(item)?;
     let body = api::compute_response(&scenario, &item.algorithm, &warnings)?;
     state.metrics.cache_misses.inc();
     let shard = state.cache.shard_of(&key);
@@ -485,9 +490,12 @@ fn process_item(state: &AppState, item: &ScheduleItem) -> Result<(String, bool),
 /// The event transport's IO-thread fast path: a single-item
 /// `POST /v1/schedule` whose response is already memoised is answered
 /// without the worker handoff (two context switches saved per request on
-/// the hot cache-hit path). Anything else — misses, batches, other
-/// endpoints, or a daemon running with test hooks — returns `None` and
-/// takes the queued path with its usual 429 backpressure.
+/// the hot cache-hit path). The I/O thread's whole per-request work here
+/// is one JSON decode and one lookup by [`api::item_key`] — no scenario
+/// parse, no lint, no instance build; a hit already passed the pre-flight
+/// when it was cached. Anything else — misses, batches, other endpoints,
+/// or a daemon running with test hooks — returns `None` and takes the
+/// queued path with its usual 429 backpressure.
 #[cfg(unix)]
 pub(crate) fn schedule_cache_hit(state: &AppState, request: &Request) -> Option<String> {
     if state.config.test_hooks || request.method != "POST" || request.target != "/v1/schedule" {
@@ -496,9 +504,7 @@ pub(crate) fn schedule_cache_hit(state: &AppState, request: &Request) -> Option<
     let ScheduleBody::Single(item) = parse_schedule_body(&request.body).ok()? else {
         return None;
     };
-    let (scenario, _warnings) = api::resolve_and_lint(&item).ok()?;
-    let key = api::cache_key(&scenario, &item.algorithm);
-    let body = state.cache.get(&key)?;
+    let body = state.cache.get(&api::item_key(&item))?;
     state.metrics.cache_hits.inc();
     Some(body)
 }

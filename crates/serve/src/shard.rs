@@ -6,11 +6,11 @@
 //! the same shard (preserving the byte-identical cache-hit contract).
 //!
 //! Shard choice is deterministic: the schedule cache shards on
-//! [`CacheKey::hash`](crate::cache::CacheKey) (already an FNV-1a content
+//! [`ItemKey::hash`](crate::cache::ItemKey) (already an FNV-1a content
 //! address), the session store on `fnv1a_64(session_id)`. With one shard
 //! both types degenerate to exactly the PR 2 single-lock behaviour.
 
-use crate::cache::{CacheKey, LruCache};
+use crate::cache::{ItemKey, LruCache};
 use cool_common::hash::fnv1a_64;
 use cool_session::{SessionEntry, SessionInstance, SessionStore, SessionStoreError};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -24,7 +24,7 @@ fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The schedule cache, split into independently-locked LRU shards.
 #[derive(Debug)]
 pub struct ShardedCache {
-    shards: Vec<Mutex<LruCache<CacheKey, String>>>,
+    shards: Vec<Mutex<LruCache<ItemKey, String>>>,
 }
 
 impl ShardedCache {
@@ -50,19 +50,19 @@ impl ShardedCache {
 
     /// The shard a key lives in.
     #[must_use]
-    pub fn shard_of(&self, key: &CacheKey) -> usize {
+    pub fn shard_of(&self, key: &ItemKey) -> usize {
         (key.hash % self.shards.len() as u64) as usize
     }
 
     /// Looks up `key`, refreshing its recency within its shard.
     #[must_use]
-    pub fn get(&self, key: &CacheKey) -> Option<String> {
+    pub fn get(&self, key: &ItemKey) -> Option<String> {
         lock(&self.shards[self.shard_of(key)]).get(key)
     }
 
     /// Inserts, returning the entry its shard evicted (if any) and the
     /// shard's new population.
-    pub fn insert(&self, key: CacheKey, value: String) -> (Option<(CacheKey, String)>, usize) {
+    pub fn insert(&self, key: ItemKey, value: String) -> (Option<(ItemKey, String)>, usize) {
         let shard = self.shard_of(&key);
         let mut guard = lock(&self.shards[shard]);
         let evicted = guard.insert(key, value);
@@ -165,10 +165,10 @@ impl ShardedSessions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheKey;
+    use crate::cache::ItemKey;
 
-    fn key(tag: &str) -> CacheKey {
-        CacheKey::new(tag.to_string(), "greedy".to_string())
+    fn key(tag: &str) -> ItemKey {
+        ItemKey::new(tag, &[], false, "greedy")
     }
 
     #[test]

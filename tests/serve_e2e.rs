@@ -3,8 +3,10 @@
 //! Each test boots a server on an ephemeral port and drives it with raw
 //! `std::net::TcpStream` writes — no client library — covering the happy
 //! path (schedule + cache hit), the lint pre-flight rejection, queue
-//! saturation (429), request timeouts (408), the `/metrics` scrape, and
-//! the graceful-shutdown drain contract.
+//! saturation (429), request timeouts (408), the `/metrics` scrape, the
+//! graceful-shutdown drain contract, cache keying by the exact request item
+//! (no replayed lint warnings across canonically equal items), and an I/O
+//! thread that keeps answering while a cold item is linted.
 
 // The raw-socket helpers below sit outside `#[test]` functions, where the
 // lint wall's in-test unwrap allowance does not reach; panicking on
@@ -474,4 +476,142 @@ fn graceful_shutdown_drains_in_flight_requests() {
 
     // And the listener is really gone.
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err());
+}
+
+/// The body a cold compute of `body`'s single item produces in-process:
+/// the reference every over-the-wire schedule answer must equal.
+fn in_process_body(body: &str) -> String {
+    use cool::serve::api::{compute_response, parse_schedule_body, resolve_and_lint, ScheduleBody};
+    let ScheduleBody::Single(item) = parse_schedule_body(body.as_bytes()).expect("valid body")
+    else {
+        panic!("expected a single item");
+    };
+    let (scenario, warnings) = resolve_and_lint(&item).expect("clean item");
+    compute_response(&scenario, &item.algorithm, &warnings).expect("computes")
+}
+
+#[test]
+fn canonically_equal_items_never_share_cached_lint_warnings() {
+    // The cache must not replay one item's lint warnings to another: a
+    // duplicated key (COOL-W002) and the audit-only passes (COOL-W007)
+    // live in the body, yet both pairs below share one canonical scenario.
+    let clean = "sensors = 12\ntargets = 2\n";
+    let duplicated = schedule_body("sensors = 12\nsensors = 12\ntargets = 2\n");
+    let plain = schedule_body(clean);
+    let audited = format!(
+        "{{\"scenario\":{},\"audit\":true}}",
+        cool::common::json::escape(clean)
+    );
+    for (first, second, warning) in [
+        (&duplicated, &plain, "COOL-W002"),
+        (&audited, &plain, "COOL-W007"),
+    ] {
+        let (first_body, second_body) = (in_process_body(first), in_process_body(second));
+        assert!(first_body.contains(warning), "{first_body}");
+        assert!(!second_body.contains(warning), "{second_body}");
+        // A fresh daemon per pair, so `second` can only meet `first`'s entry.
+        let (addr, handle) = boot(ServerConfig::default());
+        for (body, expected, cache) in [
+            (first, &first_body, "miss"),
+            (second, &second_body, "miss"),
+            (first, &first_body, "hit"),
+            (second, &second_body, "hit"),
+        ] {
+            let (status, head, got) = raw_request(addr, "POST", "/v1/schedule", &[], body);
+            assert_eq!(status, 200, "{got}");
+            assert_eq!(&got, expected, "body of {body} is not its own");
+            assert!(head.contains(&format!("x-cool-cache: {cache}")), "{head}");
+        }
+        shutdown(addr, handle);
+    }
+}
+
+#[test]
+fn io_thread_answers_hits_and_healthz_during_a_cold_preflight() {
+    // Size a cold scenario until its lint pre-flight alone takes at least
+    // 100 ms in this build profile.
+    let mut sensors = 200usize;
+    let (cold, preflight) = loop {
+        let text = format!("sensors = {sensors}\ntargets = {sensors}\n");
+        let started = std::time::Instant::now();
+        let report = cool::lint::lint_scenario_text(&text, "request");
+        let took = started.elapsed();
+        assert!(report.is_clean(), "{}", report.to_json());
+        if took >= Duration::from_millis(100) || sensors >= 25_600 {
+            break (text, took);
+        }
+        sensors *= 2;
+    };
+    assert!(
+        preflight >= Duration::from_millis(100),
+        "could not size a 100 ms pre-flight: {preflight:?}"
+    );
+
+    // Two workers on one queue: `/healthz` never waits behind A's worker,
+    // so only the I/O thread can delay B.
+    let (addr, handle) = boot(ServerConfig {
+        threads: 2,
+        shards: 1,
+        ..ServerConfig::default()
+    });
+    let warm = schedule_body("sensors = 12\ntargets = 2\n");
+    let (status, _, _) = raw_request(addr, "POST", "/v1/schedule", &[], &warm);
+    assert_eq!(status, 200);
+
+    // Connection A: the cold item, left in flight.
+    let mut a = TcpStream::connect(addr).expect("connect A");
+    a.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    a.write_all(&keep_alive_bytes(
+        "POST",
+        "/v1/schedule",
+        "close",
+        &schedule_body(&cold),
+    ))
+    .expect("write A");
+    std::thread::sleep(Duration::from_millis(10));
+
+    // Connection B: a cached hit, then a health check.
+    let mut b = TcpStream::connect(addr).expect("connect B");
+    b.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut pending = Vec::new();
+    let mut timed = |request: Vec<u8>| {
+        let started = std::time::Instant::now();
+        b.write_all(&request).expect("write B");
+        let (status, head, _) = read_framed(&mut b, &mut pending);
+        (status, head, started.elapsed())
+    };
+    let (hit_status, hit_head, hit_took) = timed(keep_alive_bytes(
+        "POST",
+        "/v1/schedule",
+        "keep-alive",
+        &warm,
+    ));
+    let (health_status, _, health_took) = timed(keep_alive_bytes("GET", "/healthz", "close", ""));
+    assert_eq!(hit_status, 200);
+    assert!(hit_head.contains("x-cool-cache: hit"), "{hit_head}");
+    assert_eq!(health_status, 200);
+
+    // A must still be in flight: nothing has arrived on it yet.
+    a.set_nonblocking(true).unwrap();
+    let mut probe = [0u8; 1];
+    let still_waiting = matches!(
+        a.peek(&mut probe),
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+    );
+    a.set_nonblocking(false).unwrap();
+    assert!(
+        still_waiting,
+        "the cold request finished before B was timed"
+    );
+    let half = preflight / 2;
+    assert!(
+        hit_took < half && health_took < half,
+        "hit {hit_took:?} / healthz {health_took:?} waited behind a {preflight:?} pre-flight"
+    );
+
+    let mut raw = String::new();
+    a.read_to_string(&mut raw).expect("read A");
+    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+    assert!(raw.contains("x-cool-cache: miss"), "{raw}");
+    shutdown(addr, handle);
 }
